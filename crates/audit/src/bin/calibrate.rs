@@ -82,11 +82,7 @@ fn main() {
     .fit(&seq, &nsf);
     let dim = tfidf_model.vocab.len();
     let mut per_kernel: Vec<(String, RunLedger)> = Vec::new();
-    for kernel in [
-        AssignKernel::Naive,
-        AssignKernel::Blocked,
-        AssignKernel::BlockedPruned,
-    ] {
+    for kernel in [AssignKernel::Naive, AssignKernel::BlockedPruned] {
         let km = KMeans::new(KMeansConfig {
             k: 8,
             max_iters: 10,

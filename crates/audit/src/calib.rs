@@ -345,13 +345,13 @@ mod tests {
                 RunLedger::from_recording("naive", 1, &fast_predicted_slow_measured, 4.0),
             ),
             (
-                "blocked".to_string(),
-                RunLedger::from_recording("blocked", 1, &slow_predicted_fast_measured, 4.0),
+                "blocked+pruned".to_string(),
+                RunLedger::from_recording("blocked+pruned", 1, &slow_predicted_fast_measured, 4.0),
             ),
         ];
         let check = kernel_flip_check(&arms).unwrap();
         assert_eq!(check.model_pick, "naive");
-        assert_eq!(check.audited_pick, "blocked");
+        assert_eq!(check.audited_pick, "blocked+pruned");
         assert!(check.flipped);
     }
 }

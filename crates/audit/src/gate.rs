@@ -335,7 +335,7 @@ pub fn compare_artifact(
                 file,
                 base,
                 fresh,
-                "best_speedup_vs_scalar_p4",
+                "best_speedup_vs_naive_p4",
                 tolerance,
                 demote,
             );
@@ -433,8 +433,8 @@ fn gate_ceiling(
     );
 }
 
-/// The scenario-matrix bin asserts every dispatch arm bit-identical to
-/// Scalar before timing and records the fact; a missing or false flag
+/// The scenario-matrix bin asserts the blocked+pruned arm bit-identical
+/// to naive before timing and records the fact; a missing or false flag
 /// means the timings compare diverging computations — meaningless.
 fn gate_bit_identity(report: &mut GateReport, file: &str, fresh: &JsonValue) {
     let ok = fresh
@@ -451,9 +451,9 @@ fn gate_bit_identity(report: &mut GateReport, file: &str, fresh: &JsonValue) {
         "bit_identical",
         status,
         if ok {
-            "all dispatch arms asserted bit-identical to scalar".into()
+            "blocked+pruned asserted bit-identical to naive".into()
         } else {
-            "fresh artifact does not assert dispatch bit-identity".into()
+            "fresh artifact does not assert kernel bit-identity".into()
         },
     );
 }
@@ -884,7 +884,7 @@ mod tests {
     fn scenario_doc(speedup: f64, bit_identical: bool, cores: u64) -> JsonValue {
         JsonValue::parse(&format!(
             r#"{{"schema_version": 2, "host_cores": {cores}, "bench": "scenario_matrix",
-                 "best_speedup_vs_scalar_p4": {speedup},
+                 "best_speedup_vs_naive_p4": {speedup},
                  "bit_identical": {bit_identical}}}"#
         ))
         .unwrap()

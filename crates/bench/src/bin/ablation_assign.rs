@@ -1,4 +1,4 @@
-//! Ablation — assignment kernel: naive vs blocked vs blocked+pruned.
+//! Ablation — assignment kernel: naive vs blocked+pruned.
 //!
 //! Runs the same K-means fit (k = 8, fixed seed) through each
 //! [`AssignKernel`] arm on a seeded corpus and reports real wall time,
@@ -28,7 +28,7 @@ fn main() {
     let cfg = BenchConfig::from_env();
     let mut report = ExperimentReport::new(
         "ablation_assign",
-        "assignment kernel: naive vs term-major blocked vs blocked + exact pruning",
+        "assignment kernel: naive vs term-major blocked + exact pruning",
         "real single-threaded execution; assignment phase timed from trace spans",
         &cfg.scale_label(),
     );
@@ -48,18 +48,11 @@ fn main() {
     // The assignment-phase split needs the span recorder even when no
     // `--trace` path was requested.
     hpa_trace::enable();
-    let mut merged = hpa_trace::take(); // discard TF/IDF staging spans
-    merged.spans.clear();
-    merged.counters.clear();
-    merged.events.clear();
-    merged.predictions.clear();
+    let _ = hpa_trace::take(); // discard TF/IDF staging spans
+    let mut merged = hpa_trace::Recording::default();
 
     let mut arms: Vec<Arm> = Vec::new();
-    for kernel in [
-        AssignKernel::Naive,
-        AssignKernel::Blocked,
-        AssignKernel::BlockedPruned,
-    ] {
+    for kernel in [AssignKernel::Naive, AssignKernel::BlockedPruned] {
         // Fixed iteration budget (negative tol disables the convergence
         // break): the synthetic corpora have no topic structure, so the
         // assignments stabilize within 2-3 Lloyd iterations — real
@@ -89,11 +82,7 @@ fn main() {
             .map(|s| s.dur_ns)
             .sum::<u64>() as f64
             / 1e9;
-        merged.spans.extend(rec.spans.iter().cloned());
-        merged.counters.extend(rec.counters.iter().cloned());
-        merged.events.extend(rec.events.iter().cloned());
-        merged.predictions.extend(rec.predictions.iter().cloned());
-        merged.threads = rec.threads.clone();
+        merged.append(rec);
         arms.push(Arm {
             kernel,
             wall_s,
@@ -165,16 +154,7 @@ fn main() {
     }
 
     cfg.emit(&report);
-    // `emit` already flushed (an almost-empty) Chrome trace when
-    // `--trace` was given; overwrite it with the merged per-arm
-    // recording so the assign spans and pruning counters are visible.
-    if let Some(path) = &cfg.trace {
-        if let Err(e) = std::fs::write(path, merged.to_chrome_json()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("wrote {} (merged per-arm trace)", path.display());
-        }
-    }
+    cfg.write_merged_trace(&merged);
 }
 
 fn render_json(cfg: &BenchConfig, corpus: &str, k: usize, arms: &[Arm]) -> String {

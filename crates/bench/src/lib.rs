@@ -271,6 +271,20 @@ impl BenchConfig {
             }
         }
     }
+
+    /// Overwrite the `--trace` file with `merged`. Bins that drain the
+    /// recorder per arm with [`hpa_trace::take`] leave [`emit`] an
+    /// almost-empty recording to flush; they merge the arms they time
+    /// and write them here, after `emit`. No-op without `--trace`.
+    ///
+    /// [`emit`]: BenchConfig::emit
+    pub fn write_merged_trace(&self, merged: &hpa_trace::Recording) {
+        let Some(path) = &self.trace else { return };
+        match std::fs::write(path, merged.to_chrome_json()) {
+            Ok(()) => println!("wrote {} (merged per-arm trace)", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
+    }
 }
 
 fn parse_scale(s: &str) -> Option<f64> {

@@ -254,7 +254,17 @@ impl TrainedPipeline {
         let dim: usize = dim_s
             .parse()
             .map_err(|_| err(l, format!("bad dim '{dim_s}'")))?;
-        let mut centroids = Vec::with_capacity(k);
+        // Centroids are indexed by term id: any other width silently
+        // drops or invents dimensions in every distance.
+        if k > 0 && dim != vocab_len {
+            return Err(err(
+                l,
+                format!("centroid dim {dim} does not match vocabulary size {vocab_len}"),
+            ));
+        }
+        // `k` is untrusted: grow with the rows actually present instead
+        // of reserving from the header.
+        let mut centroids = Vec::new();
         for _ in 0..k {
             let (l, row) = next("centroid row")?;
             let values: Result<Vec<f64>, _> =
@@ -364,12 +374,26 @@ mod tests {
             ("WRONG MAGIC\n", "bad magic"),
             ("HPA-PIPELINE v1\nnum_docs x\n", "bad num_docs"),
             (
-                "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 1\nzeta 1\ncentroids 1 2\n1.0\n",
+                "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 2\naaa 1\nzeta 1\ncentroids 1 2\n1.0\n",
                 "expected 2",
             ),
             (
                 "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 2\nbbb 1\naaa 1\ncentroids 0 0\n",
                 "not sorted",
+            ),
+            // A header claiming ~1e14 centroids must fail on the missing
+            // rows, not abort reserving memory for them.
+            (
+                "HPA-PIPELINE v1\nnum_docs 2\ndict map\nvocab 2\nalpha 1\nbeta 2\ncentroids 99999999999999 2\n0.5 0.5\n",
+                "unexpected end",
+            ),
+            (
+                "HPA-PIPELINE v1\nnum_docs 2\ndict map\nvocab 2\nalpha 1\nbeta 2\ncentroids 1 1\n0.5\n",
+                "does not match vocabulary",
+            ),
+            (
+                "HPA-PIPELINE v1\nnum_docs 2\ndict map\nvocab 2\nalpha 1\nbeta 2\ncentroids 1 3\n0.5 0.5 0.5\n",
+                "does not match vocabulary",
             ),
         ] {
             let e = TrainedPipeline::load(std::io::Cursor::new(input.as_bytes()))

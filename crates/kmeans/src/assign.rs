@@ -1,22 +1,20 @@
-//! Assignment kernels: naive, blocked, and blocked with exact
-//! Hamerly-style pruning.
+//! Assignment kernels: naive, and blocked with exact Hamerly-style
+//! pruning.
 //!
-//! The K-means hot loop is the document→centroid distance kernel. Three
+//! The K-means hot loop is the document→centroid distance kernel. Two
 //! arms, selectable via [`KMeansConfig::kernel`](crate::KMeansConfig):
 //!
 //! * [`AssignKernel::Naive`] — the original per-centroid loop: `k`
 //!   independent [`squared_distance_to_centroid`] calls per document,
 //!   `k` gather streams into `k` separate [`DenseVec`]s. Kept as the
 //!   ablation baseline.
-//! * [`AssignKernel::Blocked`] — one sweep over the document's
+//! * [`AssignKernel::BlockedPruned`] — one sweep over the document's
 //!   non-zeros against a term-major [`CentroidBlock`] computes all `k`
 //!   cross-products at once (one gather stream, 4-wide unrolled
-//!   accumulators).
-//! * [`AssignKernel::BlockedPruned`] — the blocked kernel plus exact
-//!   triangle-inequality pruning: per-document upper/lower bounds
-//!   maintained across Lloyd iterations from centroid-movement deltas
-//!   skip the full `k`-way sweep for documents whose assignment
-//!   provably cannot change.
+//!   accumulators), guarded by exact triangle-inequality pruning:
+//!   per-document upper/lower bounds maintained across Lloyd
+//!   iterations from centroid-movement deltas skip the full `k`-way
+//!   sweep for documents whose assignment provably cannot change.
 //!
 //! ## Bound invariants (the pruning correctness argument)
 //!
@@ -52,9 +50,7 @@
 //!
 //! [`squared_distance_to_centroid`]: hpa_sparse::squared_distance_to_centroid
 
-use hpa_sparse::{
-    squared_distance_to_centroid_dispatch, CentroidBlock, DenseVec, ResolvedKernel, SparseVec,
-};
+use hpa_sparse::{squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec};
 
 /// Which distance kernel the assignment phase runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,11 +58,10 @@ pub enum AssignKernel {
     /// Per-centroid scalar kernel: `k` passes over each document's
     /// non-zeros (the pre-blocking baseline, kept for the ablation).
     Naive,
-    /// Term-major [`CentroidBlock`] kernel: all `k` distances in one
-    /// sweep over the document's non-zeros.
-    Blocked,
-    /// Blocked kernel plus exact Hamerly-style bound pruning (the
-    /// default: strictly less work, bit-identical results).
+    /// Term-major [`CentroidBlock`] kernel (all `k` distances in one
+    /// sweep over the document's non-zeros) plus exact Hamerly-style
+    /// bound pruning (the default: strictly less work, bit-identical
+    /// results).
     #[default]
     BlockedPruned,
 }
@@ -76,7 +71,6 @@ impl AssignKernel {
     pub fn label(&self) -> &'static str {
         match self {
             AssignKernel::Naive => "naive",
-            AssignKernel::Blocked => "blocked",
             AssignKernel::BlockedPruned => "blocked+pruned",
         }
     }
@@ -228,11 +222,10 @@ struct DocOutcome {
 /// Assign the documents of one chunk with the selected kernel, writing
 /// assignments/bounds through `state` and folding per-document results
 /// into `fold` (centroid sums + cost). `centroids`/`norms` serve the
-/// naive arm; `block` serves the blocked arms.
+/// naive arm; `block` serves the pruned arm.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assign_chunk(
     kernel: AssignKernel,
-    dispatch: ResolvedKernel,
     vectors: &[SparseVec],
     range: std::ops::Range<usize>,
     centroids: &[DenseVec],
@@ -247,8 +240,7 @@ pub(crate) fn assign_chunk(
     for (local, i) in range.enumerate() {
         let x = &vectors[i];
         let outcome = match kernel {
-            AssignKernel::Naive => assign_doc_naive(x, centroids, norms, dispatch),
-            AssignKernel::Blocked => assign_doc_blocked(x, block, &mut state.dist, dispatch),
+            AssignKernel::Naive => assign_doc_naive(x, centroids, norms),
             AssignKernel::BlockedPruned => {
                 let prior = state.assign[local] as usize;
                 assign_doc_pruned(
@@ -259,7 +251,6 @@ pub(crate) fn assign_chunk(
                     &mut state.ub[local],
                     &mut state.lb[local],
                     &mut state.dist,
-                    dispatch,
                 )
             }
         };
@@ -278,40 +269,11 @@ pub(crate) fn assign_chunk(
 
 /// The original per-centroid kernel: lowest index wins distance ties
 /// (strict `<` while scanning in centroid order).
-fn assign_doc_naive(
-    x: &SparseVec,
-    centroids: &[DenseVec],
-    norms: &[f64],
-    dispatch: ResolvedKernel,
-) -> DocOutcome {
+fn assign_doc_naive(x: &SparseVec, centroids: &[DenseVec], norms: &[f64]) -> DocOutcome {
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (c, centroid) in centroids.iter().enumerate() {
-        let d = squared_distance_to_centroid_dispatch(x, centroid, norms[c], dispatch);
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    DocOutcome {
-        best,
-        best_d,
-        pruned: false,
-    }
-}
-
-/// Blocked full sweep: identical argmin scan over bit-identical
-/// distances.
-fn assign_doc_blocked(
-    x: &SparseVec,
-    block: &CentroidBlock,
-    dist: &mut [f64],
-    dispatch: ResolvedKernel,
-) -> DocOutcome {
-    block.distances_into_dispatch(x, dist, dispatch);
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (c, &d) in dist.iter().enumerate() {
+        let d = squared_distance_to_centroid(x, centroid, norms[c]);
         if d < best_d {
             best_d = d;
             best = c;
@@ -337,7 +299,6 @@ fn assign_doc_pruned(
     ub: &mut f64,
     lb: &mut f64,
     dist: &mut [f64],
-    dispatch: ResolvedKernel,
 ) -> DocOutcome {
     // Carry the bounds across the centroid movement since the last
     // iteration, with slack against floating-point drift.
@@ -345,7 +306,7 @@ fn assign_doc_pruned(
     *lb = (*lb - movement.max_excluding(prior)) * (1.0 - BOUND_SLACK);
 
     // Tighten: the exact current distance to the assigned centroid.
-    let d_prior = block.distance_to_dispatch(x, prior, dispatch);
+    let d_prior = block.distance_to(x, prior);
     *ub = d_prior.sqrt();
     if *ub < *lb {
         // Every rival is strictly farther: assignment (and, a fortiori,
@@ -358,7 +319,7 @@ fn assign_doc_pruned(
     }
 
     // Full sweep; reset both bounds to exact values.
-    block.distances_into_dispatch(x, dist, dispatch);
+    block.distances_into(x, dist);
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     let mut second_d = f64::INFINITY;

@@ -105,14 +105,12 @@ proptest! {
             KMeans::new(c).fit(&Exec::sequential(), &vectors, DIM as usize)
         };
         let reference = run(AssignKernel::Naive);
-        for kernel in [AssignKernel::Blocked, AssignKernel::BlockedPruned] {
-            let other = run(kernel);
-            prop_assert_eq!(&reference.assignments, &other.assignments);
-            prop_assert_eq!(reference.inertia.to_bits(), other.inertia.to_bits());
-            let rt: Vec<u64> = reference.trace.iter().map(|x| x.to_bits()).collect();
-            let ot: Vec<u64> = other.trace.iter().map(|x| x.to_bits()).collect();
-            prop_assert_eq!(rt, ot);
-        }
+        let other = run(AssignKernel::BlockedPruned);
+        prop_assert_eq!(&reference.assignments, &other.assignments);
+        prop_assert_eq!(reference.inertia.to_bits(), other.inertia.to_bits());
+        let rt: Vec<u64> = reference.trace.iter().map(|x| x.to_bits()).collect();
+        let ot: Vec<u64> = other.trace.iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(rt, ot);
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! Bit-exactness of the assignment kernels: the blocked and
-//! blocked+pruned arms must produce assignments, inertia traces, and
+//! Bit-exactness of the assignment kernels: the blocked+pruned arm must
+//! produce assignments, inertia traces, and
 //! centroids *bit-identical* to the naive per-centroid kernel, across
 //! corpus shapes (empty documents, single non-zeros, k > n, exact
 //! distance ties) and across executors. This is the contract that lets
 //! the fast kernel be the default without perturbing any simulated or
 //! measured result.
 
-use hpa_exec::{CostMode, Exec, MachineModel, ShardAffinity};
+use hpa_exec::{CostMode, Exec, MachineModel};
 use hpa_kmeans::{AssignKernel, KMeans, KMeansConfig, KMeansModel};
 use hpa_rng::SplitMix64;
-use hpa_sparse::{KernelDispatch, SparseVec};
+use hpa_sparse::SparseVec;
 
-const KERNELS: [AssignKernel; 3] = [
-    AssignKernel::Naive,
-    AssignKernel::Blocked,
-    AssignKernel::BlockedPruned,
-];
+const KERNELS: [AssignKernel; 2] = [AssignKernel::Naive, AssignKernel::BlockedPruned];
 
 fn cfg(k: usize, kernel: AssignKernel) -> KMeansConfig {
     KMeansConfig {
@@ -92,14 +88,8 @@ fn kernels_agree_bitwise_on_random_corpora() {
     ] {
         let vectors = corpus(&mut rng, n, dim, max_nnz);
         let reference = fit(&vectors, dim as usize, k, AssignKernel::Naive);
-        for kernel in [AssignKernel::Blocked, AssignKernel::BlockedPruned] {
-            let other = fit(&vectors, dim as usize, k, kernel);
-            assert_identical(
-                &reference,
-                &other,
-                &format!("n={n} dim={dim} k={k} {}", kernel.label()),
-            );
-        }
+        let other = fit(&vectors, dim as usize, k, AssignKernel::BlockedPruned);
+        assert_identical(&reference, &other, &format!("n={n} dim={dim} k={k}"));
     }
 }
 
@@ -135,14 +125,8 @@ fn kernels_agree_on_degenerate_shapes() {
     ];
     for (idx, (vectors, dim, k)) in shapes.iter().enumerate() {
         let reference = fit(vectors, *dim, *k, AssignKernel::Naive);
-        for kernel in [AssignKernel::Blocked, AssignKernel::BlockedPruned] {
-            let other = fit(vectors, *dim, *k, kernel);
-            assert_identical(
-                &reference,
-                &other,
-                &format!("shape {idx} {}", kernel.label()),
-            );
-        }
+        let other = fit(vectors, *dim, *k, AssignKernel::BlockedPruned);
+        assert_identical(&reference, &other, &format!("shape {idx}"));
     }
 }
 
@@ -155,10 +139,8 @@ fn ties_break_to_lowest_index_in_every_kernel() {
         .map(|i| SparseVec::from_pairs(vec![(0, 1.0), (1, if i % 2 == 0 { 1.0 } else { -1.0 })]))
         .collect();
     let reference = fit(&vectors, 2, 4, AssignKernel::Naive);
-    for kernel in [AssignKernel::Blocked, AssignKernel::BlockedPruned] {
-        let other = fit(&vectors, 2, 4, kernel);
-        assert_identical(&reference, &other, kernel.label());
-    }
+    let other = fit(&vectors, 2, 4, AssignKernel::BlockedPruned);
+    assert_identical(&reference, &other, "blocked+pruned");
 }
 
 #[test]
@@ -180,16 +162,15 @@ fn kernels_agree_across_executors() {
 }
 
 #[test]
-fn dispatch_variants_agree_across_kernels_shapes_and_executors() {
-    // The full S3 grid: every (assign kernel × instruction dispatch)
-    // arm, on every degenerate shape and a randomized corpus, under the
-    // sequential executor, the real pool (both affinity modes), and the
-    // simulated machine — all bit-identical to scalar naive sequential.
+fn kernels_agree_across_shapes_and_executors() {
+    // Both assign kernels, on every degenerate shape and a randomized
+    // corpus, under the sequential executor, the real pool, and the
+    // simulated machine — all bit-identical to naive sequential.
     let mut rng = SplitMix64::seed_from_u64(0x51D);
     let mut shapes: Vec<(Vec<SparseVec>, usize, usize)> = vec![
-        // All-empty documents: the wide gather loop runs zero lanes.
+        // All-empty documents: the gather loop runs zero lanes.
         (vec![SparseVec::new(); 5], 4, 2),
-        // dim rides through the remainder path (nnz % 8 != 0 per doc).
+        // Odd dim and nnz: remainder paths of the unrolled sweep.
         (corpus(&mut rng, 40, 23, 11), 23, 5),
         // k = 1: the k-accumulator sweep has a single live lane.
         (corpus(&mut rng, 30, 16, 6), 16, 1),
@@ -201,7 +182,7 @@ fn dispatch_variants_agree_across_kernels_shapes_and_executors() {
             3,
             9,
         ),
-        // k = 9: one past the 8-wide block boundary.
+        // k = 9: one past a 4-wide unroll boundary.
         (corpus(&mut rng, 80, 40, 9), 40, 9),
     ];
     // Randomized medium corpus exercising pruning across iterations.
@@ -211,30 +192,19 @@ fn dispatch_variants_agree_across_kernels_shapes_and_executors() {
         vec![
             Exec::sequential(),
             Exec::pool(4),
-            Exec::pool(4).with_affinity(ShardAffinity::Pinned),
             Exec::simulated_with(8, MachineModel::default(), CostMode::Analytic),
         ]
     };
     for (idx, (vectors, dim, k)) in shapes.iter().enumerate() {
         let reference = fit(vectors, *dim, *k, AssignKernel::Naive);
         for kernel in KERNELS {
-            for dispatch in [
-                KernelDispatch::Scalar,
-                KernelDispatch::Wide,
-                KernelDispatch::Auto,
-            ] {
-                for exec in make_execs() {
-                    let model = KMeans::new(KMeansConfig {
-                        dispatch,
-                        ..cfg(*k, kernel)
-                    })
-                    .fit(&exec, vectors, *dim);
-                    assert_identical(
-                        &reference,
-                        &model,
-                        &format!("shape {idx} {}/{}", kernel.label(), dispatch.label()),
-                    );
-                }
+            for exec in make_execs() {
+                let model = KMeans::new(cfg(*k, kernel)).fit(&exec, vectors, *dim);
+                assert_identical(
+                    &reference,
+                    &model,
+                    &format!("shape {idx} {}", kernel.label()),
+                );
             }
         }
     }
@@ -274,18 +244,11 @@ fn pruning_actually_prunes_and_accounts_exactly() {
         "a pruned document skips exactly k-1 rival distances"
     );
 
-    // The non-pruned arms never report pruning.
-    for kernel in [AssignKernel::Naive, AssignKernel::Blocked] {
-        let s = fit(&vectors, 60, k, kernel).assign_stats;
-        assert_eq!(s.docs_pruned, 0, "{}", kernel.label());
-        assert_eq!(s.distances_pruned, 0, "{}", kernel.label());
-        assert_eq!(
-            s.distances_computed,
-            s.docs * k as u64,
-            "{}",
-            kernel.label()
-        );
-    }
+    // The naive arm never reports pruning.
+    let s = fit(&vectors, 60, k, AssignKernel::Naive).assign_stats;
+    assert_eq!(s.docs_pruned, 0);
+    assert_eq!(s.distances_pruned, 0);
+    assert_eq!(s.distances_computed, s.docs * k as u64);
 }
 
 #[test]

@@ -397,6 +397,17 @@ impl Recording {
             && self.predictions.is_empty()
     }
 
+    /// Fold `other` (a later [`take`]) into `self`. `other`'s thread
+    /// table replaces this one: the registry only grows, so a later
+    /// take names every thread an earlier one did.
+    pub fn append(&mut self, mut other: Recording) {
+        self.spans.append(&mut other.spans);
+        self.counters.append(&mut other.counters);
+        self.events.append(&mut other.events);
+        self.predictions.append(&mut other.predictions);
+        self.threads = other.threads;
+    }
+
     /// Spans of one category.
     pub fn spans_in<'a>(&'a self, cat: &'a str) -> impl Iterator<Item = &'a SpanRec> + 'a {
         self.spans.iter().filter(move |s| s.cat == cat)

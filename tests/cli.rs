@@ -139,3 +139,43 @@ fn help_prints_usage() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+#[test]
+fn predict_rejects_bad_model_headers_with_an_error() {
+    // Untrusted model files: a huge centroid count and a centroid width
+    // other than the vocabulary size must both end in an error exit —
+    // not a panic (101) or an allocation abort (134).
+    let corpus_dir = tmp("bad_model_corpus");
+    std::fs::create_dir_all(&corpus_dir).unwrap();
+    std::fs::write(corpus_dir.join("a.txt"), "alpha beta alpha").unwrap();
+    std::fs::write(corpus_dir.join("b.txt"), "beta beta").unwrap();
+    let header = "HPA-PIPELINE v1\nnum_docs 2\ndict map\nvocab 2\nalpha 1\nbeta 2\n";
+    for (tag, centroids) in [
+        ("huge_k", "centroids 99999999999999 2\n0.5 0.5\n"),
+        ("dim_mismatch", "centroids 1 1\n0.5\n"),
+    ] {
+        let model_path = tmp(tag);
+        std::fs::write(&model_path, format!("{header}{centroids}")).unwrap();
+        let out = hpa()
+            .arg("predict")
+            .arg("--input")
+            .arg(&corpus_dir)
+            .arg("--model")
+            .arg(&model_path)
+            .output()
+            .expect("run hpa predict");
+        std::fs::remove_file(&model_path).ok();
+        let code = out.status.code();
+        assert!(
+            !out.status.success() && code != Some(101) && code != Some(134) && code.is_some(),
+            "{tag}: exit {code:?}, stderr {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("loading model"),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&corpus_dir).ok();
+}
