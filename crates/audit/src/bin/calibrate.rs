@@ -10,9 +10,9 @@
 //! 3. Fit one scale `alpha` per phase by least squares
 //!    (`measured ≈ alpha × predicted`) and report drift against the
 //!    hard-coded constants.
-//! 4. Re-run the two `Auto` selections (dict backend per phase, K-means
-//!    assignment kernel across per-kernel traced fits) under the fitted
-//!    constants and flag flips.
+//! 4. Re-check the K-means assignment-kernel ranking across per-kernel
+//!    traced fits: flag a flip when the model's fastest kernel is not
+//!    the measured fastest.
 //!
 //! Emits `LEDGER_calibrate.json` and `LEDGER_calibrate.txt` into the
 //! output directory. Accepts the standard bench flags (`--scale`,
@@ -101,11 +101,8 @@ fn main() {
         ));
     }
 
-    // ---- 4b. selection flip checks ----------------------------------
-    let mut checks = calib::dict_flip_checks(&fits, threads);
-    if let Some(check) = calib::kernel_flip_check(&per_kernel) {
-        checks.push(check);
-    }
+    // ---- 4b. selection flip check -----------------------------------
+    let checks: Vec<SelectionCheck> = calib::kernel_flip_check(&per_kernel).into_iter().collect();
 
     // ---- emit -------------------------------------------------------
     let text = render_text(&ledger, &fits, &checks, &per_kernel);
@@ -184,7 +181,7 @@ fn render_text(
     out.push_str(&kernel_table.to_text());
 
     let mut check_table = Table::new(
-        "auto-selection checks under fitted constants",
+        "selection checks: model ranking vs measured",
         &["domain", "context", "model pick", "audited pick", "flip"],
     );
     for c in checks {

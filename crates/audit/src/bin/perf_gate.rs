@@ -11,7 +11,13 @@
 //!   `baseline / tolerance` floor) and a non-zero pruning counter;
 //! * `arff_pipeline` — the `kmeans_input` and `tfidf_output` pipelining
 //!   speedups (same one-sided floor);
-//! * `dict_arena` — `auto_pick` backend equality per (phase, threads).
+//! * `colfmt` — the write and read speedups (same floor) and the
+//!   `discrete_over_fused` overhead ratio (`baseline × tolerance`
+//!   ceiling);
+//! * `planner` — pick equality per (scenario, threads) and the two
+//!   `pick_over_best_*` regret ratios (same ceiling);
+//! * `scenario_matrix` — the headline speedup (same floor) and the
+//!   artifact's `bit_identical` stamp.
 //!
 //! Exit status 0 on pass (warnings allowed), 1 on any failed check or
 //! bad usage. The report always prints, pass or fail.

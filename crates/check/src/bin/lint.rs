@@ -30,8 +30,7 @@
 //!   site with literal `(cat, name)` arguments must have a span opened
 //!   with the same two literals somewhere in the same file, so the run
 //!   ledger (`hpa-audit`) can join the prediction to a measurement. Calls
-//!   with a non-literal name are flagged unless the file is allowlisted
-//!   as intentionally span-free (advisory predictions).
+//!   with a non-literal `(cat, name)` are flagged in every file.
 //! * **R6 ordering-audit** — every non-`Relaxed` atomic ordering
 //!   (`Acquire`/`Release`/`AcqRel`/`SeqCst`) must carry an `ORDERING:`
 //!   justification comment, placed like R1's `SAFETY:` marker. This is
@@ -82,14 +81,6 @@ const RELAXED_FILE_ALLOWLIST: &[&str] = &[
 /// every ordering while *classifying* the caller's argument, and its two
 /// real accesses are model-internal snapshots documented in-file).
 const ORDERING_FILE_ALLOWLIST: &[&str] = &["crates/check/src/sync.rs"];
-
-/// Files allowed to call `hpa_trace::predict` with a non-literal name
-/// (R5): advisory predictions that are not paired with a span by design.
-const PREDICT_DYNAMIC_ALLOWLIST: &[&str] = &[
-    // auto_pick logs the scores of *candidate* backends; only the chosen
-    // backend's phase gets a span, under its own literal name.
-    "crates/dict/src/costmodel.rs",
-];
 
 // ---- needle construction ------------------------------------------------
 // The needles are assembled at runtime so this file's own source never
@@ -380,7 +371,6 @@ fn scan_predict_conformance(rel: &str, lines: &[&str], in_test: &[bool]) -> Vec<
         }
     }
 
-    let dynamic_ok = PREDICT_DYNAMIC_ALLOWLIST.contains(&rel);
     let mut findings = Vec::new();
     let mut from = 0;
     while let Some(pos) = text[from..].find(&needle) {
@@ -405,18 +395,16 @@ fn scan_predict_conformance(rel: &str, lines: &[&str], in_test: &[bool]) -> Vec<
                 });
             }
             Some(_) => {}
-            None if !dynamic_ok => {
+            None => {
                 findings.push(Finding {
                     file: rel.to_string(),
                     line: line_idx + 1,
                     rule: "R5 span-predict",
                     message: "prediction with a non-literal (cat, name) cannot \
-                              be statically span-matched; use literals or \
-                              allowlist the file as advisory-only"
+                              be statically span-matched; use literals"
                         .to_string(),
                 });
             }
-            None => {}
         }
     }
     findings
@@ -788,14 +776,14 @@ mod tests {
     }
 
     #[test]
-    fn r5_flags_dynamic_names_unless_allowlisted() {
+    fn r5_flags_dynamic_names_in_every_file() {
         let pred = predict_call();
         let dynamic = format!("{pred}\"dict\", name, 1.0);\n");
-        let findings = scan_contents("crates/dict/src/x.rs", &dynamic);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("non-literal"));
-        // The advisory-prediction allowlist suppresses it.
-        assert!(scan_contents("crates/dict/src/costmodel.rs", &dynamic).is_empty());
+        for file in ["crates/dict/src/x.rs", "crates/dict/src/costmodel.rs"] {
+            let findings = scan_contents(file, &dynamic);
+            assert_eq!(findings.len(), 1, "{file}: {findings:?}");
+            assert!(findings[0].message.contains("non-literal"));
+        }
     }
 
     #[test]

@@ -32,13 +32,19 @@ pub fn list_documents(dir: &Path) -> io::Result<Vec<std::path::PathBuf>> {
     Ok(paths)
 }
 
+/// Prefix a file-read error with the path it came from, keeping its
+/// kind: a bad file in a thousand-file corpus is otherwise nameless.
+pub fn path_error(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
 /// Read a corpus previously written with [`write_corpus`]. Ids are
 /// assigned in sorted file-name order.
 pub fn read_corpus(name: &str, dir: &Path) -> io::Result<Corpus> {
     let paths = list_documents(dir)?;
     let mut docs = Vec::with_capacity(paths.len());
     for (i, p) in paths.iter().enumerate() {
-        let text = fs::read_to_string(p)?;
+        let text = fs::read_to_string(p).map_err(|e| path_error(p, e))?;
         let file_name = p
             .file_name()
             .and_then(|n| n.to_str())
@@ -93,6 +99,18 @@ mod tests {
             .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
             .collect();
         assert_eq!(names, ["a.txt", "b.txt"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_utf8_file_error_names_the_file() {
+        let dir = tmpdir("utf8");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("good.txt"), "fine text").unwrap();
+        fs::write(dir.join("bad.txt"), [0x66, 0xff, 0xfe, 0x66]).unwrap();
+        let err = read_corpus("x", &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad.txt"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

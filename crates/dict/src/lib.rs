@@ -26,7 +26,7 @@ mod mem;
 pub mod sharded;
 
 pub use arena::{ArenaDict, ArenaStats};
-pub use costmodel::{DictPhase, OpCost};
+pub use costmodel::OpCost;
 pub use mem::{arena_heap_bytes, btree_heap_bytes, hash_heap_bytes};
 pub use sharded::ShardedDict;
 
@@ -290,10 +290,6 @@ pub enum DictKind {
     /// Arena-interned open-addressing table ([`ArenaDict`]) — this
     /// repo's third Figure 4 arm.
     Arena,
-    /// Pick the backend per workflow phase and thread count from the
-    /// cost model (see [`DictKind::resolve`]). Instantiating an
-    /// unresolved `Auto` yields an [`ArenaDict`].
-    Auto,
 }
 
 impl DictKind {
@@ -306,7 +302,7 @@ impl DictKind {
             DictKind::BTree => AnyDict::BTree(BTreeDict::new()),
             DictKind::Hash => AnyDict::Hash(HashDict::new()),
             DictKind::HashPresized(n) => AnyDict::Hash(HashDict::with_presize(*n)),
-            DictKind::Arena | DictKind::Auto => AnyDict::Arena(ArenaDict::new()),
+            DictKind::Arena => AnyDict::Arena(ArenaDict::new()),
         }
     }
 
@@ -316,17 +312,15 @@ impl DictKind {
             DictKind::BTree => "map",
             DictKind::Hash | DictKind::HashPresized(_) => "u-map",
             DictKind::Arena => "arena",
-            DictKind::Auto => "auto",
         }
     }
 
     /// The kind a corpus-wide (never per-document) structure of this
     /// configuration uses: the pre-sized table degrades to the plain
-    /// hash table, and an unresolved `Auto` falls back to the arena.
+    /// hash table.
     pub fn global_kind(&self) -> DictKind {
         match self {
             DictKind::HashPresized(_) => DictKind::Hash,
-            DictKind::Auto => DictKind::Arena,
             k => *k,
         }
     }
@@ -335,7 +329,7 @@ impl DictKind {
     /// callers profit from computing the hash once per token and passing
     /// it through [`Dictionary::add_hashed`].
     pub fn uses_cached_hash(&self) -> bool {
-        matches!(self, DictKind::Arena | DictKind::Auto)
+        matches!(self, DictKind::Arena)
     }
 }
 
@@ -347,7 +341,6 @@ impl std::str::FromStr for DictKind {
             "u-map" | "umap" | "hash" => Ok(DictKind::Hash),
             "u-map-presized" | "hash-presized" => Ok(DictKind::PAPER_PRESIZE),
             "arena" => Ok(DictKind::Arena),
-            "auto" => Ok(DictKind::Auto),
             other => Err(format!("unknown dictionary kind '{other}'")),
         }
     }
@@ -537,12 +530,11 @@ mod tests {
             DictKind::HashPresized(4096)
         );
         assert_eq!("arena".parse::<DictKind>().unwrap(), DictKind::Arena);
-        assert_eq!("auto".parse::<DictKind>().unwrap(), DictKind::Auto);
+        assert!("auto".parse::<DictKind>().is_err());
         assert!("bogus".parse::<DictKind>().is_err());
         assert_eq!(DictKind::BTree.label(), "map");
         assert_eq!(DictKind::Hash.label(), "u-map");
         assert_eq!(DictKind::Arena.label(), "arena");
-        assert_eq!(DictKind::Auto.label(), "auto");
     }
 
     #[test]
@@ -556,10 +548,8 @@ mod tests {
     #[test]
     fn global_kind_and_cached_hash_flags() {
         assert_eq!(DictKind::PAPER_PRESIZE.global_kind(), DictKind::Hash);
-        assert_eq!(DictKind::Auto.global_kind(), DictKind::Arena);
         assert_eq!(DictKind::BTree.global_kind(), DictKind::BTree);
         assert!(DictKind::Arena.uses_cached_hash());
-        assert!(DictKind::Auto.uses_cached_hash());
         assert!(!DictKind::Hash.uses_cached_hash());
         assert!(!DictKind::BTree.uses_cached_hash());
     }

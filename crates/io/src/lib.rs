@@ -56,8 +56,8 @@ pub fn read_file_costed(path: &Path) -> io::Result<(String, TaskCost)> {
 /// `consume(index, text)` for each. File sizes are collected up front so
 /// chunk costs are declared before the loop runs.
 ///
-/// Returns the first I/O error encountered, if any (all files are still
-/// attempted).
+/// Returns the first I/O error encountered, prefixed with the failing
+/// path, if any (all files are still attempted).
 pub fn for_each_file_parallel<F>(exec: &Exec, paths: &[PathBuf], consume: F) -> io::Result<()>
 where
     F: Fn(usize, &str) + Sync,
@@ -77,7 +77,7 @@ where
             Err(e) => {
                 let mut slot = first_error.lock();
                 if slot.is_none() {
-                    *slot = Some(e);
+                    *slot = Some(hpa_corpus::disk::path_error(&paths[i], e));
                 }
             }
         },
@@ -196,6 +196,20 @@ mod tests {
             for_each_file_parallel(&exec, &[PathBuf::from("/nonexistent/file.txt")], |_, _| {})
                 .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn non_utf8_file_error_names_the_file() {
+        let dir = tmpdir("utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("good.txt"), "fine text").unwrap();
+        std::fs::write(dir.join("bad.txt"), [0x66, 0xff, 0xfe, 0x66]).unwrap();
+        for exec in [Exec::sequential(), Exec::pool(2)] {
+            let err = load_corpus_parallel(&exec, "x", &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("bad.txt"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn print_usage() {
 USAGE:
   hpa generate --preset mix|nsf --scale F --seed N --out DIR
   hpa cluster  --input DIR [--k N] [--threads N] [--strategy fused|discrete]
-               [--dict map|u-map|u-map-presized] [--real-threads] [--out FILE]
+               [--dict map|u-map|u-map-presized|arena] [--real-threads] [--out FILE]
   hpa tfidf    --input DIR [--dict ...] [--threads N] --out FILE.arff
   hpa train    --input DIR [--k N] [--threads N] --model FILE
   hpa predict  --input DIR --model FILE [--threads N] [--out FILE]
@@ -83,6 +83,9 @@ impl Flags {
 
 fn make_exec(flags: &Flags) -> Result<Exec, String> {
     let threads: usize = flags.parse("--threads", 8)?;
+    if threads == 0 {
+        return Err("--threads must be at least 1".to_string());
+    }
     Ok(if flags.has("--real-threads") {
         Exec::pool(threads)
     } else {
@@ -96,6 +99,13 @@ fn load_input(flags: &Flags, exec: &Exec) -> Result<Corpus, String> {
         .ok_or_else(|| "--input DIR is required".to_string())?;
     load_corpus_parallel(exec, "input", &PathBuf::from(input))
         .map_err(|e| format!("loading corpus from {input}: {e}"))
+}
+
+fn cluster_count(flags: &Flags) -> Result<usize, String> {
+    match flags.parse("--k", 8)? {
+        0 => Err("--k must be at least 1".to_string()),
+        k => Ok(k),
+    }
 }
 
 fn dict_kind(flags: &Flags) -> Result<DictKind, String> {
@@ -114,6 +124,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown preset '{other}' (mix|nsf)")),
     };
     let scale: f64 = flags.parse("--scale", 0.01)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("--scale must be a positive number, got '{scale}'"));
+    }
     let seed: u64 = flags.parse("--seed", 42)?;
     let out = flags
         .get("--out")
@@ -134,7 +147,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let flags = Flags(args.to_vec());
     let exec = make_exec(&flags)?;
     let corpus = load_input(&flags, &exec)?;
-    let k: usize = flags.parse("--k", 8)?;
+    let k = cluster_count(&flags)?;
     let builder = WorkflowBuilder::new()
         .tfidf(TfIdfConfig {
             dict_kind: dict_kind(&flags)?,
@@ -180,7 +193,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let flags = Flags(args.to_vec());
     let exec = make_exec(&flags)?;
     let corpus = load_input(&flags, &exec)?;
-    let k: usize = flags.parse("--k", 8)?;
+    let k = cluster_count(&flags)?;
     let model_path = flags
         .get("--model")
         .ok_or_else(|| "--model FILE is required".to_string())?;

@@ -137,7 +137,81 @@ fn missing_required_flag_fails_cleanly() {
 fn help_prints_usage() {
     let out = hpa().arg("--help").output().expect("run hpa");
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    let usage = String::from_utf8_lossy(&out.stdout);
+    assert!(usage.contains("USAGE"));
+    assert!(
+        usage.contains("arena"),
+        "every --dict value is listed: {usage}"
+    );
+}
+
+#[test]
+fn bad_flag_values_exit_with_an_error_not_a_panic() {
+    // Each row is a command line that must end in exit 1 with a message
+    // naming the problem — not a library assert's panic (exit 101).
+    let corpus_dir = tmp("bad_flags_corpus");
+    std::fs::create_dir_all(&corpus_dir).unwrap();
+    std::fs::write(corpus_dir.join("a.txt"), "alpha beta alpha").unwrap();
+    std::fs::write(corpus_dir.join("b.txt"), "beta beta gamma").unwrap();
+    let input = corpus_dir.to_str().unwrap();
+    let model = tmp("bad_flags_model");
+    let model = model.to_str().unwrap();
+    let out_dir = tmp("bad_flags_out");
+    let out_dir = out_dir.to_str().unwrap();
+    let rows: &[(&[&str], &str)] = &[
+        (
+            &["cluster", "--input", input, "--threads", "0"],
+            "--threads",
+        ),
+        (
+            &["tfidf", "--input", input, "--threads", "0", "--out", model],
+            "--threads",
+        ),
+        (
+            &[
+                "train",
+                "--input",
+                input,
+                "--threads",
+                "0",
+                "--model",
+                model,
+            ],
+            "--threads",
+        ),
+        (
+            &[
+                "predict",
+                "--input",
+                input,
+                "--threads",
+                "0",
+                "--model",
+                model,
+            ],
+            "--threads",
+        ),
+        (&["cluster", "--input", input, "--k", "0"], "--k"),
+        (
+            &["train", "--input", input, "--k", "0", "--model", model],
+            "--k",
+        ),
+        (&["generate", "--scale", "-1", "--out", out_dir], "--scale"),
+        (&["generate", "--scale", "nan", "--out", out_dir], "--scale"),
+        (
+            &["cluster", "--input", input, "--dict", "auto"],
+            "unknown dictionary kind",
+        ),
+    ];
+    for (args, needle) in rows {
+        let out = hpa().args(*args).output().expect("run hpa");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: stderr {stderr}");
+    }
+    std::fs::remove_dir_all(&corpus_dir).ok();
+    std::fs::remove_file(model).ok();
+    std::fs::remove_dir_all(out_dir).ok();
 }
 
 #[test]
