@@ -38,7 +38,8 @@ const BLOCKED_ASSIGN_BYTES_PER_NNZ_CLUSTER: f64 = 1.0;
 /// sqrt, and the skip test.
 const PRUNE_NS_PER_DOC: f64 = 14.0;
 /// Re-transposing the centroids into the term-major block, per
-/// `k × dim` element (sequential write + strided read).
+/// `k × dim` element (tiled: sequential write, `k` short sequential
+/// reads).
 const BLOCK_REBUILD_NS_PER_ELEM: f64 = 0.8;
 
 /// Merging one partial centroid-sum set into another (one tree-reduction
@@ -87,8 +88,10 @@ pub fn assign_cost_pruned(nnz_full: u64, nnz_pruned: u64, docs: u64, k: usize) -
     }
 }
 
-/// Cost of re-transposing the centroids into the term-major block
-/// (serial, once per iteration for the blocked+pruned kernel).
+/// Cost of re-transposing `dim` terms of `k` centroids into the
+/// term-major block. Once per iteration for the blocked+pruned kernel,
+/// the rebuild is a parallel region charged one term tile at a time;
+/// the tiles' costs sum to the whole block's.
 pub fn block_rebuild_cost(k: usize, dim: usize) -> TaskCost {
     let elems = (k * dim) as f64;
     TaskCost {

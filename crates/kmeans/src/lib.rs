@@ -23,10 +23,14 @@
 //! [`KMeansConfig::kernel`] as the ablation baseline.
 //!
 //! All document loops run on the [`Exec`] substrate with one partial
-//! accumulator per worker (mirroring Cilk reducers); the per-iteration
-//! pairwise tree merge of those partials — `log2(P)` rounds over dense
-//! `k x vocabulary` arrays — is the serial fraction that limits
-//! scalability on the vocabulary-heavy *Mix* data set in Figure 1.
+//! accumulator per worker (mirroring Cilk reducers), zeroed inside that
+//! worker's assignment task. The per-iteration pairwise tree merge of
+//! those partials — `log2(P)` rounds over dense `k x vocabulary`
+//! arrays — and the serial centroid recompute are the serial fraction
+//! that limits scalability on the vocabulary-heavy *Mix* data set in
+//! Figure 1. The recompute turns the merged sums into the new centroids
+//! in place, allocating nothing; the blocked kernel's per-iteration
+//! `k x vocabulary` transpose runs in parallel over term tiles.
 //!
 //! [`baseline::SimpleKMeans`] reproduces the WEKA comparator: dense,
 //! single-threaded, allocation-happy.
@@ -40,7 +44,7 @@ pub use assign::{AssignKernel, AssignStats};
 
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
-use hpa_sparse::{squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec};
+use hpa_sparse::{squared_distance_to_centroid, BlockTile, CentroidBlock, DenseVec, SparseVec};
 
 /// Cluster-initialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -219,10 +223,10 @@ impl KMeans {
 
         // Recycled across iterations: centroid norms, the per-chunk
         // partial accumulators (k dense vectors each!), the term-major
-        // centroid block, the movement deltas, and the recompute
-        // scratch. With recycling off, every iteration allocates the
-        // norms/partials afresh — the pessimization the §3.1 ablation
-        // measures.
+        // centroid block and the movement deltas; the recompute turns
+        // the merged sums into centroids in place. With recycling off,
+        // every iteration allocates the norms, partials and centroids
+        // afresh — the pessimization the §3.1 ablation measures.
         let mut norms: Vec<f64> = Vec::new();
         let grain = if cfg.grain > 0 {
             cfg.grain
@@ -254,21 +258,48 @@ impl KMeans {
                 let _iter_span = hpa_trace::span!("kmeans", "iter", iter as u64);
                 if use_block {
                     // Re-transpose the centroids into the term-major
-                    // block (also refreshes the norms it carries).
-                    exec.serial(cost::block_rebuild_cost(k, dim), || {
-                        block.rebuild(&centroids)
-                    });
+                    // block as one parallel region over its term tiles
+                    // (the norms it carries are refreshed first).
+                    let _rebuild_span = hpa_trace::span!("kmeans", "block-rebuild", iter as u64);
+                    let tiles: Vec<Mutex<BlockTile<'_>>> =
+                        block.tiles_for(&centroids).map(Mutex::new).collect();
+                    let tiles_ref = &tiles;
+                    let centroids_ref = &centroids;
+                    let rebuild_cost = |tile_range: std::ops::Range<usize>| {
+                        let mut total = TaskCost::default();
+                        for ti in tile_range {
+                            let terms = tiles_ref[ti].lock().terms().len();
+                            total += cost::block_rebuild_cost(k, terms);
+                        }
+                        total
+                    };
+                    if hpa_trace::is_enabled() {
+                        hpa_trace::predict(
+                            "kmeans",
+                            "block-rebuild",
+                            exec.predict_region_ns(tiles.len(), 0, rebuild_cost),
+                        );
+                    }
+                    exec.par_chunks(
+                        tiles.len(),
+                        0,
+                        |tile_range| {
+                            for ti in tile_range {
+                                tiles_ref[ti].lock().fill(centroids_ref);
+                            }
+                        },
+                        rebuild_cost,
+                    );
                 } else if cfg.recycle_buffers {
                     norms.clear();
                     norms.extend(centroids.iter().map(|c| c.norm_sq()));
                 } else {
                     norms = centroids.iter().map(|c| c.norm_sq()).collect();
                 }
-                if cfg.recycle_buffers && partials.len() == ranges.len() {
-                    for p in &partials {
-                        p.lock().reset(k, dim);
-                    }
-                } else {
+                // Recycled partials are zeroed inside the assign tasks;
+                // fresh ones are allocated here, on the calling thread.
+                let fresh_partials = !cfg.recycle_buffers || partials.is_empty();
+                if fresh_partials {
                     partials = ranges
                         .iter()
                         .map(|_| Mutex::new(Partial::new(k, dim)))
@@ -334,6 +365,11 @@ impl KMeans {
                     |chunk_idx_range| {
                         for ci in chunk_idx_range {
                             let mut acc = partials_ref[ci].lock();
+                            if !fresh_partials {
+                                // Zeroed inside the parallel task, so
+                                // the k x dim sweep splits across workers.
+                                acc.reset(k, dim);
+                            }
                             let mut state = chunk_slots_ref[ci].lock();
                             assign::assign_chunk(
                                 kernel,
@@ -415,7 +451,7 @@ impl KMeans {
                     );
                 }
                 drop(merge_span);
-                let partial = partials[0].lock();
+                let mut partial = partials[0].lock();
 
                 // --- Serial centroid recompute; records per-centroid
                 // movement deltas for the next iteration's bounds.
@@ -434,23 +470,24 @@ impl KMeans {
                     exec.serial(cost::recompute_cost(k, dim), move || {
                         movement.reset(k);
                         let mut max_move: f64 = 0.0;
-                        #[allow(clippy::needless_range_loop)] // c indexes three parallel arrays
-                        for c in 0..k {
-                            if partial.counts[c] == 0 {
+                        let Partial { sums, counts, .. } = &mut *partial;
+                        for (c, (fresh, &count)) in sums.iter_mut().zip(counts.iter()).enumerate() {
+                            if count == 0 {
                                 // Empty cluster: keep its previous centroid
                                 // (the paper's operator does not re-seed
                                 // mid-run); its movement delta stays zero.
                                 continue;
                             }
-                            let mut fresh = partial.sums[c].clone();
-                            fresh.scale(1.0 / partial.counts[c] as f64);
-                            let moved = centroids[c].squared_distance(&fresh);
+                            // The merged sum becomes the mean in place;
+                            // it is reset before its next use.
+                            fresh.scale(1.0 / count as f64);
+                            let moved = centroids[c].squared_distance(fresh);
                             movement.record(c, moved);
                             max_move = max_move.max(moved);
                             if cfg.recycle_buffers {
-                                centroids[c].copy_from(&fresh);
+                                std::mem::swap(&mut centroids[c], fresh);
                             } else {
-                                centroids[c] = fresh;
+                                centroids[c] = fresh.clone();
                             }
                         }
                         max_move

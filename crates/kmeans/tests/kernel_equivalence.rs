@@ -9,7 +9,7 @@
 use hpa_exec::{CostMode, Exec, MachineModel};
 use hpa_kmeans::{AssignKernel, KMeans, KMeansConfig, KMeansModel};
 use hpa_rng::SplitMix64;
-use hpa_sparse::SparseVec;
+use hpa_sparse::{CentroidBlock, DenseVec, SparseVec};
 
 const KERNELS: [AssignKernel; 2] = [AssignKernel::Naive, AssignKernel::BlockedPruned];
 
@@ -271,4 +271,65 @@ fn first_iteration_never_prunes() {
         model.assign_stats.distances_computed,
         model.assign_stats.docs * 5
     );
+}
+
+/// Terms per transpose tile of the centroid block, read through the
+/// public tile API so the shapes below follow the block's constant.
+fn block_tile_terms() -> usize {
+    let wide = [DenseVec::zeros(1 << 16)];
+    let mut block = CentroidBlock::new();
+    let first = block
+        .tiles_for(&wide)
+        .next()
+        .expect("a non-empty block has a tile");
+    first.terms().len()
+}
+
+#[test]
+fn kernels_agree_when_dim_straddles_block_tiles() {
+    // The blocked kernel's block is rebuilt tile by tile in a parallel
+    // region; a vocabulary just short of, just past, and two tiles past
+    // a tile boundary exercises the partial last tile.
+    let tile = block_tile_terms();
+    assert!(tile > 1 && tile < 1 << 16, "tile of {tile} terms");
+    let mut rng = SplitMix64::seed_from_u64(0x711E);
+    for dim in [tile - 1, tile + 1, 2 * tile + 3] {
+        let vectors = corpus(&mut rng, 70, dim as u32, 24);
+        let k = 6;
+        let reference = fit(&vectors, dim, k, AssignKernel::Naive);
+        for exec in [
+            Exec::sequential(),
+            Exec::pool(3),
+            Exec::simulated(4, MachineModel::default()),
+        ] {
+            let model = KMeans::new(cfg(k, AssignKernel::BlockedPruned)).fit(&exec, &vectors, dim);
+            assert_identical(&reference, &model, &format!("dim={dim} under {exec:?}"));
+        }
+    }
+}
+
+#[test]
+fn recycling_toggle_is_bit_identical_on_a_pool() {
+    // With recycling on, partials are reset inside each assign task and
+    // the merged sums are scaled into the new centroids in place; the
+    // fresh-allocation arm must match bit for bit, every iteration.
+    let mut rng = SplitMix64::seed_from_u64(0x2EC7);
+    let vectors = corpus(&mut rng, 150, 90, 12);
+    let exec = Exec::pool(2);
+    for kernel in KERNELS {
+        let run = |recycle_buffers: bool| {
+            KMeans::new(KMeansConfig {
+                recycle_buffers,
+                ..cfg(7, kernel)
+            })
+            .fit(&exec, &vectors, 90)
+        };
+        let recycled = run(true);
+        assert!(
+            recycled.iterations >= 3,
+            "need several iterations, got {}",
+            recycled.iterations
+        );
+        assert_identical(&run(false), &recycled, kernel.label());
+    }
 }

@@ -23,12 +23,21 @@
 //! end.
 
 use crate::{DenseVec, SparseVec};
+use std::ops::Range;
+
+/// Terms per transpose tile. A tile writes its `TILE_TERMS × k` slice
+/// of the block (128 KB at `k = 32`) front to back while the `k` source
+/// runs it reads (4 KB each) stay cache-resident, so every cache line of
+/// the block is written once instead of once per centroid pass.
+const TILE_TERMS: usize = 512;
 
 /// `k` dense centroids stored term-major (`data[t * k + c]`), with the
 /// per-centroid squared norms the distance expansion needs.
 ///
-/// Built empty and (re)filled with [`rebuild`](CentroidBlock::rebuild)
-/// each Lloyd iteration; the backing allocation is recycled.
+/// Built empty and (re)filled each Lloyd iteration, serially with
+/// [`rebuild`](CentroidBlock::rebuild) or tile by tile through
+/// [`tiles_for`](CentroidBlock::tiles_for); the backing allocation is
+/// recycled.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CentroidBlock {
     k: usize,
@@ -56,18 +65,39 @@ impl CentroidBlock {
     /// Re-transpose `centroids` into the block, reusing the allocation.
     /// All centroids must share one dimensionality.
     pub fn rebuild(&mut self, centroids: &[DenseVec]) {
-        self.k = centroids.len();
-        self.dim = centroids.first().map_or(0, |c| c.len());
-        self.data.clear();
-        self.data.resize(self.dim * self.k, 0.0);
+        for mut tile in self.tiles_for(centroids) {
+            tile.fill(centroids);
+        }
+    }
+
+    /// Size the block for `centroids`, refresh its norms, and hand out
+    /// its weights as disjoint term tiles in term order. Every weight is
+    /// stale until its tile's [`BlockTile::fill`] runs; tiles may be
+    /// filled in any order and on any thread. All centroids must share
+    /// one dimensionality.
+    pub fn tiles_for(&mut self, centroids: &[DenseVec]) -> impl Iterator<Item = BlockTile<'_>> {
+        let k = centroids.len();
+        let dim = centroids.first().map_or(0, |c| c.len());
+        assert!(
+            centroids.iter().all(|c| c.len() == dim),
+            "centroid dimension mismatch"
+        );
+        self.k = k;
+        self.dim = dim;
+        // No zero-fill: the tiles overwrite every entry.
+        self.data.resize(dim * k, 0.0);
         self.norms.clear();
         self.norms.extend(centroids.iter().map(|c| c.norm_sq()));
-        for (c, centroid) in centroids.iter().enumerate() {
-            assert_eq!(centroid.len(), self.dim, "centroid dimension mismatch");
-            for (t, &w) in centroid.as_slice().iter().enumerate() {
-                self.data[t * self.k + c] = w;
-            }
-        }
+        self.data
+            .chunks_mut((TILE_TERMS * k).max(1))
+            .enumerate()
+            .map(move |(i, data)| {
+                let start = i * TILE_TERMS;
+                BlockTile {
+                    terms: start..start + data.len() / k,
+                    data,
+                }
+            })
     }
 
     /// Number of centroids in the block.
@@ -151,6 +181,40 @@ impl CentroidBlock {
     }
 }
 
+/// One term range of a [`CentroidBlock`], borrowed mutably from
+/// [`CentroidBlock::tiles_for`] so disjoint tiles fill in parallel.
+#[derive(Debug)]
+pub struct BlockTile<'a> {
+    terms: Range<usize>,
+    /// `data[(t - terms.start) * k + c]` is centroid `c` at term `t`.
+    data: &'a mut [f64],
+}
+
+impl BlockTile<'_> {
+    /// The terms this tile covers.
+    pub fn terms(&self) -> Range<usize> {
+        self.terms.clone()
+    }
+
+    /// Transpose this tile's terms of `centroids` (the set the tile was
+    /// cut for) into the block: term by term, looping over the
+    /// centroids, so the tile is written once, front to back.
+    pub fn fill(&mut self, centroids: &[DenseVec]) {
+        let k = centroids.len();
+        assert_eq!(
+            self.data.len(),
+            self.terms.len() * k,
+            "tile cut for a different centroid set"
+        );
+        let start = self.terms.start;
+        for (i, row) in self.data.chunks_exact_mut(k).enumerate() {
+            for (slot, centroid) in row.iter_mut().zip(centroids) {
+                *slot = centroid.as_slice()[start + i];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +293,98 @@ mod tests {
         assert_eq!(block.norms().len(), 4);
         let expected: Vec<f64> = centroids(4, 50).iter().map(|c| c.norm_sq()).collect();
         assert_eq!(block.norms(), expected.as_slice());
+    }
+
+    /// Centroids whose every weight is unique to `salt`, so a stale
+    /// entry from an earlier shape cannot pass for a fresh one.
+    fn salted(salt: usize, k: usize, dim: usize) -> Vec<DenseVec> {
+        (0..k)
+            .map(|c| {
+                DenseVec::from_vec(
+                    (0..dim)
+                        .map(|t| (salt * 1_000_000 + c * dim + t) as f64 + 0.5)
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_transposed(block: &CentroidBlock, cs: &[DenseVec], label: &str) {
+        let (k, dim) = (cs.len(), cs[0].len());
+        assert_eq!((block.k(), block.dim()), (k, dim), "{label}: shape");
+        assert_eq!(block.data.len(), k * dim, "{label}: length");
+        for (c, centroid) in cs.iter().enumerate() {
+            for (t, &w) in centroid.as_slice().iter().enumerate() {
+                assert_eq!(
+                    block.data[t * k + c].to_bits(),
+                    w.to_bits(),
+                    "{label}: c={c} t={t}"
+                );
+            }
+            assert_eq!(block.norms()[c].to_bits(), centroid.norm_sq().to_bits());
+        }
+    }
+
+    #[test]
+    fn reshaping_at_equal_length_leaves_no_stale_entry() {
+        // 8 x 25, 25 x 8 and 20 x 10 all hold 200 weights, so the
+        // rebuild never grows the buffer and every entry of the new
+        // shape sits where the old shape left a different value.
+        let mut block = CentroidBlock::new();
+        for (salt, (k, dim)) in [(8, 25), (25, 8), (20, 10)].into_iter().enumerate() {
+            let cs = salted(salt + 1, k, dim);
+            block.rebuild(&cs);
+            assert_transposed(&block, &cs, &format!("k={k} dim={dim}"));
+        }
+    }
+
+    #[test]
+    fn tiles_cover_every_term_once_around_tile_boundaries() {
+        for dim in [
+            1,
+            37,
+            TILE_TERMS - 1,
+            TILE_TERMS,
+            TILE_TERMS + 1,
+            3 * TILE_TERMS + 5,
+        ] {
+            let cs = salted(dim, 3, dim);
+            let mut block = CentroidBlock::new();
+            let terms: Vec<Range<usize>> = block.tiles_for(&cs).map(|t| t.terms()).collect();
+            assert_eq!(terms.len(), dim.div_ceil(TILE_TERMS), "dim={dim}");
+            let mut next = 0;
+            for r in &terms {
+                assert_eq!(r.start, next, "dim={dim}: tiles are contiguous");
+                assert!(!r.is_empty() && r.len() <= TILE_TERMS, "dim={dim}: {r:?}");
+                next = r.end;
+            }
+            assert_eq!(next, dim, "dim={dim}: tiles end at dim");
+            block.rebuild(&cs);
+            assert_transposed(&block, &cs, &format!("dim={dim}"));
+        }
+    }
+
+    #[test]
+    fn tiles_filled_out_of_order_equal_from_centroids() {
+        let cs = salted(7, 5, 2 * TILE_TERMS + 3);
+        let reference = CentroidBlock::from_centroids(&cs);
+        let mut block = CentroidBlock::from_centroids(&salted(9, 5, 2 * TILE_TERMS + 3));
+        let mut tiles: Vec<BlockTile<'_>> = block.tiles_for(&cs).collect();
+        assert_eq!(tiles.len(), 3);
+        for i in [2, 0, 1] {
+            tiles[i].fill(&cs);
+        }
+        drop(tiles);
+        let bits = |b: &CentroidBlock| b.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&block), bits(&reference));
+        assert_eq!(block, reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "centroid dimension mismatch")]
+    fn ragged_centroids_panic() {
+        let cs = vec![DenseVec::zeros(4), DenseVec::zeros(5)];
+        CentroidBlock::from_centroids(&cs);
     }
 
     #[test]

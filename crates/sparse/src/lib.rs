@@ -18,7 +18,7 @@ pub mod distance;
 pub mod fnv;
 pub mod recycle;
 
-pub use block::CentroidBlock;
+pub use block::{BlockTile, CentroidBlock};
 pub use dense::DenseVec;
 pub use distance::{cosine_similarity, squared_distance_to_centroid};
 pub use fnv::{fnv1a, fnv1a_str};
